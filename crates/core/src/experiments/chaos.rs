@@ -33,16 +33,16 @@
 //!   ledger: requests, integrity flips with the crash discard account,
 //!   and hedges with their teardown cancellations.
 
+use super::overload::open_loop;
 use super::Suite;
 use crate::failslow::{FailSlowConfig, FailSlowReport, HealthParams};
 use crate::integrity::{ChecksumMode, IntegrityConfig, IntegrityReport};
-use crate::overload::{AdmissionParams, OverloadConfig, OverloadReport, ShedPolicy};
+use crate::overload::OverloadReport;
 use crate::placement::{Mode, Placement};
 use crate::report::{ms, Table};
 use crate::system::{simulate, units, CrashReport, SystemConfig};
 use dmx_sim::{
-    par_map, ArrivalProcess, CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, FaultConfig,
-    SplitMix64, Time,
+    par_map, CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, FaultConfig, SplitMix64, Time,
 };
 
 /// Default seed for every run in this experiment.
@@ -59,9 +59,6 @@ const ARRIVALS_PER_TENANT: usize = 16;
 
 /// Offered load as a multiple of measured capacity.
 const LOAD: f64 = 1.5;
-
-/// Pending-queue bound (requests).
-const QUEUE_CAPACITY: usize = 8;
 
 /// One sampled crash schedule and the composed run it produced.
 #[derive(Debug, Clone)]
@@ -139,33 +136,6 @@ pub struct Chaos {
     pub merged_summary: String,
     /// The embedded acceptance checks.
     pub checks: Checks,
-}
-
-/// Open-loop overload section offering [`LOAD`] times capacity: tenant
-/// 0 bursts (MMPP), the rest are Poisson — the same envelope as `repro
-/// overload`, so differences here are attributable to crashes and SDC.
-fn open_loop(seed: u64, mean: Time, slowest: Time) -> OverloadConfig {
-    let share_rps = 1.0 / mean.as_secs_f64();
-    let rate = LOAD * share_rps;
-    let mut arrivals = vec![ArrivalProcess::Mmpp {
-        low_rps: 0.2 * rate,
-        high_rps: 1.8 * rate,
-        mean_dwell: slowest * 6,
-    }];
-    arrivals.resize(TENANTS, ArrivalProcess::Poisson { rate_rps: rate });
-    OverloadConfig {
-        seed,
-        arrivals,
-        admission: AdmissionParams {
-            tokens_per_sec: 1.3 * rate,
-            burst: 4.0,
-            max_inflight: 8,
-        },
-        deadline: slowest * 4,
-        shed: ShedPolicy::Reject,
-        queue_capacity: QUEUE_CAPACITY,
-        ..OverloadConfig::none()
-    }
 }
 
 /// Silent-corruption rates for the sweep: high enough that every run
@@ -250,7 +220,7 @@ fn composed(
     SystemConfig {
         requests_per_app: ARRIVALS_PER_TENANT,
         faults: Some(faults),
-        overload: Some(open_loop(seed, mean, slowest)),
+        overload: Some(open_loop(seed, mean, slowest, LOAD, 4)),
         integrity: Some(integ),
         ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
     }
@@ -331,6 +301,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
         slowest,
         schedule(seed, 0, mean),
     ));
+    let merged_summary = again.robustness_summary();
     let again_overload = again.overload.expect("open-loop run must report");
     let first = scenarios.first().expect("scenarios");
     let deterministic = format!(
@@ -340,17 +311,6 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
         "{:?} {:?} {:?}",
         first.crashes, first.integrity, first.overload
     );
-
-    let merged_summary = {
-        let r = simulate(&composed(
-            suite,
-            seed,
-            mean,
-            slowest,
-            schedule(seed, 0, mean),
-        ));
-        r.robustness_summary()
-    };
 
     // Degrade → crash → hot-plug on one device: tenant 0's edge-0 DRX
     // goes gray early, is surprise-removed mid-run, and hot-plugs back

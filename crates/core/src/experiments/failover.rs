@@ -35,12 +35,12 @@
 //! * a faulted, hedged cell renders byte-identically on 1, 2, and 4
 //!   shards, and a same-seed re-run reproduces it exactly.
 
+use super::fleet::server_cfg;
 use super::Suite;
 use crate::fleet::{
     run_fleet, ClassPolicy, FailoverConfig, FleetConfig, FleetFaultPlan, FleetResult,
     LbHealthParams, LbPolicy, RequestClass, ServerGray, ServerKill, ServerOutage,
 };
-use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
 use crate::placement::{Mode, Placement};
 use crate::report::{ms, Table};
 use crate::system::{simulate, SystemConfig};
@@ -249,24 +249,6 @@ pub struct FailoverSweep {
     pub cells: Vec<Cell>,
     /// The embedded acceptance checks.
     pub checks: Checks,
-}
-
-/// The per-server system config (mirrors the `fleet` experiment).
-fn server_cfg(suite: &Suite, slowest: Time) -> SystemConfig {
-    SystemConfig {
-        overload: Some(OverloadConfig {
-            admission: AdmissionParams {
-                tokens_per_sec: f64::INFINITY,
-                burst: 1.0,
-                max_inflight: MAX_INFLIGHT,
-            },
-            deadline: slowest * 4,
-            shed: ShedPolicy::Reject,
-            queue_capacity: 8,
-            ..OverloadConfig::none()
-        }),
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
-    }
 }
 
 /// The fleet config of one cell; `fault`/`policy` as `None` build the

@@ -29,13 +29,14 @@
 //! * two same-seed runs are byte-identical (so `--threads N` cannot
 //!   change results — every cell is a pure function of the seed).
 
+use super::overload::open_loop;
 use super::Suite;
 use crate::failslow::{FailSlowConfig, FailSlowReport, HealthParams};
-use crate::overload::{AdmissionParams, OverloadConfig, OverloadReport, ShedPolicy};
+use crate::overload::OverloadReport;
 use crate::placement::{Mode, Placement};
 use crate::report::{ms, Table};
 use crate::system::{simulate, units, SystemConfig};
-use dmx_sim::{par_map, ArrivalProcess, DegradeEvent, DegradeTarget, DutyCycle, FaultConfig, Time};
+use dmx_sim::{par_map, DegradeEvent, DegradeTarget, DutyCycle, FaultConfig, Time};
 
 /// Default seed for every run in this experiment.
 pub const SEED: u64 = 0xF510;
@@ -48,9 +49,6 @@ const ARRIVALS_PER_TENANT: usize = 16;
 
 /// Offered load as a multiple of measured capacity.
 const LOAD: f64 = 1.5;
-
-/// Pending-queue bound (requests).
-const QUEUE_CAPACITY: usize = 8;
 
 /// The tenant whose edge-0 DRX goes gray.
 const GRAY_APP: usize = 0;
@@ -147,35 +145,6 @@ pub struct FailSlow {
     pub checks: Checks,
 }
 
-/// Open-loop overload section offering [`LOAD`] times capacity: tenant
-/// 0 bursts (MMPP), the rest are Poisson — the same envelope as `repro
-/// chaos`, so differences here are attributable to the gray device.
-fn open_loop(seed: u64, mean: Time, slowest: Time) -> OverloadConfig {
-    let share_rps = 1.0 / mean.as_secs_f64();
-    let rate = LOAD * share_rps;
-    let mut arrivals = vec![ArrivalProcess::Mmpp {
-        low_rps: 0.2 * rate,
-        high_rps: 1.8 * rate,
-        mean_dwell: slowest * 6,
-    }];
-    arrivals.resize(TENANTS, ArrivalProcess::Poisson { rate_rps: rate });
-    OverloadConfig {
-        seed,
-        arrivals,
-        admission: AdmissionParams {
-            tokens_per_sec: 1.3 * rate,
-            burst: 4.0,
-            max_inflight: 8,
-        },
-        // Generous deadline: gray-slowed requests should complete late
-        // rather than be shed, so p99 measures the slowness itself.
-        deadline: slowest * 12,
-        shed: ShedPolicy::Reject,
-        queue_capacity: QUEUE_CAPACITY,
-        ..OverloadConfig::none()
-    }
-}
-
 /// Mitigation tuning for the sweep: flag fast (small fleet, short
 /// runs), hedge early (a 4x-slowed batch is past 1.2x nominal long
 /// before it completes; a healthy batch never is). Probation scales
@@ -228,7 +197,9 @@ fn composed(
     SystemConfig {
         requests_per_app: ARRIVALS_PER_TENANT,
         faults: Some(faults),
-        overload: Some(open_loop(seed, mean, slowest)),
+        // Generous deadline: gray-slowed requests should complete late
+        // rather than be shed, so p99 measures the slowness itself.
+        overload: Some(open_loop(seed, mean, slowest, LOAD, 12)),
         failslow,
         ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
     }

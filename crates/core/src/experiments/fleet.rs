@@ -158,7 +158,8 @@ pub struct FleetSweep {
 
 /// The per-server system config: five tenants, bounded inflight and
 /// EDF queue, deadline 4x the slowest clean latency, reject sheds.
-fn server_cfg(suite: &Suite, slowest: Time) -> SystemConfig {
+/// The failover sweep runs the same servers.
+pub(crate) fn server_cfg(suite: &Suite, slowest: Time) -> SystemConfig {
     SystemConfig {
         overload: Some(OverloadConfig {
             admission: AdmissionParams {

@@ -94,8 +94,18 @@ pub struct Overload {
 /// Open-loop config offering `load` times the server's capacity, whose
 /// clean per-request latency (closed-loop, all tenants running) is
 /// `mean`/`slowest`. Each tenant's fair share of service capacity is
-/// ~1/mean; tenant 0 bursts (MMPP), the rest are Poisson.
-fn open_loop(seed: u64, mean: Time, slowest: Time, load: f64) -> OverloadConfig {
+/// ~1/mean; tenant 0 bursts (MMPP), the rest are Poisson. The deadline
+/// is `deadline_x` times the slowest tenant's clean latency, so an
+/// uncontended request always fits regardless of its app. Shared by
+/// the chaos and fail-slow sweeps, so their differences from this one
+/// are attributable to their own layers.
+pub(crate) fn open_loop(
+    seed: u64,
+    mean: Time,
+    slowest: Time,
+    load: f64,
+    deadline_x: u64,
+) -> OverloadConfig {
     let share_rps = 1.0 / mean.as_secs_f64();
     let rate = load * share_rps;
     let mut arrivals = vec![ArrivalProcess::Mmpp {
@@ -112,9 +122,7 @@ fn open_loop(seed: u64, mean: Time, slowest: Time, load: f64) -> OverloadConfig 
             burst: 4.0,
             max_inflight: 8,
         },
-        // Relative to the slowest tenant's clean latency, so an
-        // uncontended request always fits regardless of its app.
-        deadline: slowest * 4,
+        deadline: slowest * deadline_x,
         shed: ShedPolicy::Reject,
         queue_capacity: QUEUE_CAPACITY,
         ..OverloadConfig::none()
@@ -156,7 +164,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Overload {
     let points: Vec<LoadPoint> = par_map(&LOADS, |_, &load| {
         let r = simulate(&sweep_cfg(
             suite,
-            Some(open_loop(seed, mean, slowest, load)),
+            Some(open_loop(seed, mean, slowest, load, 4)),
         ));
         let report = r.overload.expect("open-loop run must report");
         LoadPoint {
@@ -175,7 +183,10 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Overload {
 
     // Same-seed determinism at the highest load, re-simulated from
     // scratch: the Debug render covers every counter and latency.
-    let again = simulate(&sweep_cfg(suite, Some(open_loop(seed, mean, slowest, 2.0))));
+    let again = simulate(&sweep_cfg(
+        suite,
+        Some(open_loop(seed, mean, slowest, 2.0, 4)),
+    ));
     let deterministic = format!("{:?}", again.overload) == format!("{:?}", Some(&last.report));
 
     // The zero-overhead path: an inert config must be byte-identical

@@ -1,7 +1,10 @@
-//! The failover-aware load balancer: delayed-knowledge server health,
-//! cross-server re-dispatch, and per-class SLO retry/hedge.
+//! The fleet's load balancer and its optional failover layer:
+//! delayed-knowledge server health, cross-server re-dispatch, and
+//! per-class SLO retry/hedge.
 //!
-//! This is the sixth robustness layer, at fleet scope. The per-server
+//! The balancer pairs every resolution with its request by the
+//! dispatch tag it echoes, with or without the layer. The layer is the
+//! sixth robustness layer, at fleet scope. The per-server
 //! layers (faults, overload, integrity, crash-stop, fail-slow) keep a
 //! *server* honest; this layer keeps the *fleet* honest when a whole
 //! server dies, grays out, or falls off the network:
@@ -43,10 +46,10 @@
 //! open at the end) must always be zero — every attempt carries a
 //! timer, so no kill schedule can leave a request unaccounted.
 
-use super::{FleetConfig, FleetMsg, LbPolicy};
-use crate::system::Outcome;
+use super::{FleetConfig, FleetMsg, FleetResult, LbPolicy};
+use crate::system::{Outcome, RunResult};
 use dmx_pcie::{InterNodeFabric, LinkOutage};
-use dmx_sim::partition::{Outbox, Partition, XMsg};
+use dmx_sim::partition::{Outbox, Partition, WindowStats, XMsg};
 use dmx_sim::{ArrivalGen, EventQueue, Percentiles, SplitMix64, Time};
 use std::collections::VecDeque;
 use std::fmt;
@@ -122,7 +125,8 @@ impl fmt::Display for RequestClass {
 
 /// Configuration of the failover layer. Inert by default: a fleet
 /// whose `failover` is `None` *or* [`FailoverConfig::none`] runs the
-/// exact legacy LB code path, bit-identical to the layer-absent fleet.
+/// balancer with no failover state, bit-identical to the layer-absent
+/// fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverConfig {
     /// Health-scorer parameters.
@@ -382,20 +386,55 @@ struct Attempt {
     hedge: bool,
 }
 
-/// One request's LB-side lifecycle.
+/// One request's failover lifecycle (its arrival time is in the
+/// balancer's `arrived`).
 #[derive(Debug)]
-struct LbReq {
+struct FoReq {
     tenant: usize,
     class: usize,
-    arrived: Time,
     attempts: Vec<Attempt>,
     retries_used: u32,
     open: bool,
 }
 
-/// LB-local events of the failover balancer.
+/// The failover layer's state: present exactly when the fleet runs a
+/// non-inert [`FailoverConfig`].
+struct Failover {
+    cfg: FailoverConfig,
+    health: ServerHealth,
+    /// The in-flight half-open probe per server, by attempt tag.
+    probing_tag: Vec<Option<u64>>,
+    /// Per-request lifecycles, indexed like the balancer's `arrived`.
+    reqs: Vec<FoReq>,
+    rep: FailoverReport,
+}
+
+impl Failover {
+    /// Takes attempt `(ri, k)` out of the live set and returns its
+    /// server, whose outstanding slot the caller releases; `None` when
+    /// it already left.
+    fn retire(&mut self, ri: usize, k: usize) -> Option<usize> {
+        let a = &mut self.reqs[ri].attempts[k];
+        if !a.live {
+            return None;
+        }
+        a.live = false;
+        Some(a.server)
+    }
+}
+
+/// How a request closed.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    Goodput,
+    Late,
+    Shed,
+}
+
+/// Load-balancer local events, time-ordered on its own queue so
+/// arrivals, returning resolutions and timers interleave correctly.
 #[derive(Debug)]
-enum FoEv {
+enum Ev {
     /// One request of tenant `t` arrives.
     Arrival(usize),
     /// A server resolution came back.
@@ -412,54 +451,60 @@ enum FoEv {
 
 /// One LB-side tenant: its arrival stream and offer budget.
 #[derive(Debug)]
-struct FoTenant {
+struct Tenant {
     gen: ArrivalGen,
     to_offer: usize,
 }
 
-/// The failover-aware load-balancer partition. Replaces the legacy
-/// `LbPart` when the fleet config carries a non-inert
-/// [`FailoverConfig`].
-pub(super) struct FoLbPart {
-    q: EventQueue<FoEv>,
-    tenants: Vec<FoTenant>,
-    cfg: FailoverConfig,
+/// The fleet's load-balancer partition. Every dispatch carries the tag
+/// `(request << TAG_BITS) | attempt` and every resolution closes the
+/// request its tag names, so end-to-end latency is exact even when a
+/// server resolves a tenant's requests out of order. With a non-inert
+/// [`FailoverConfig`] the balancer also scores server health, times
+/// out and re-dispatches attempts, and hedges; without one it arms no
+/// timer and reads no health, and a dispatch costs one policy pick.
+pub(super) struct Balancer {
+    q: EventQueue<Ev>,
+    tenants: Vec<Tenant>,
     policy: LbPolicy,
     fabric: InterNodeFabric,
     request_bytes: u64,
     servers: usize,
     rr_next: usize,
-    outstanding: Vec<usize>,
-    /// Network-cut windows per server (from the fleet fault plan);
-    /// dispatches sent into a window are lost.
+    /// LB's view of per-server outstanding attempts (dispatched minus
+    /// resolved or timed out) — the delayed least-loaded signal.
+    pub(super) outstanding: Vec<usize>,
+    /// Network-cut windows per server (from the fleet fault plan; all
+    /// empty without one). A dispatch sent into a window is lost; only
+    /// a failover timer can recover it.
     outages: Vec<Vec<LinkOutage>>,
-    health: ServerHealth,
-    /// The in-flight half-open probe per server, by attempt tag.
-    probing_tag: Vec<Option<u64>>,
-    reqs: Vec<LbReq>,
+    /// LB arrival time per offered request, indexed by the request
+    /// half of its tags.
+    arrived: Vec<Time>,
+    fo: Option<Failover>,
     // Accounting.
-    offered: u64,
     dispatched: Vec<u64>,
     goodput: u64,
     late: u64,
     shed: u64,
     e2e: Percentiles,
-    rep: FailoverReport,
 }
 
-impl FoLbPart {
+impl Balancer {
+    /// `fo` is the fleet's failover config, already filtered to
+    /// non-inert.
     pub(super) fn new(
         cfg: &FleetConfig,
-        fo: &FailoverConfig,
+        fo: Option<&FailoverConfig>,
         tenant_count: usize,
         outages: Vec<Vec<LinkOutage>>,
-    ) -> FoLbPart {
+    ) -> Balancer {
         let mut root = SplitMix64::new(cfg.seed);
         let mut q = EventQueue::new();
-        let mut tenants: Vec<FoTenant> = (0..tenant_count)
+        let mut tenants: Vec<Tenant> = (0..tenant_count)
             .map(|i| {
                 let sub = root.next_u64();
-                FoTenant {
+                Tenant {
                     gen: ArrivalGen::new(
                         cfg.arrivals[i % cfg.arrivals.len()],
                         SplitMix64::new(sub),
@@ -468,20 +513,27 @@ impl FoLbPart {
                 }
             })
             .collect();
+        // Seed each tenant's first arrival, as the single-server
+        // open-loop mode does.
         for (t, ts) in tenants.iter_mut().enumerate() {
             if ts.to_offer > 0 {
                 let gap = ts.gen.next_gap();
-                q.schedule_at(gap, FoEv::Arrival(t));
+                q.schedule_at(gap, Ev::Arrival(t));
             }
         }
-        let rep = FailoverReport {
-            classes: vec![ClassTotals::default(); fo.classes.len()],
-            ..FailoverReport::default()
-        };
-        FoLbPart {
+        let fo = fo.map(|f| Failover {
+            cfg: f.clone(),
+            health: ServerHealth::new(f.health, cfg.servers),
+            probing_tag: vec![None; cfg.servers],
+            reqs: Vec::new(),
+            rep: FailoverReport {
+                classes: vec![ClassTotals::default(); f.classes.len()],
+                ..FailoverReport::default()
+            },
+        });
+        Balancer {
             q,
             tenants,
-            cfg: fo.clone(),
             policy: cfg.policy,
             fabric: cfg.fabric,
             request_bytes: cfg.request_bytes,
@@ -489,134 +541,139 @@ impl FoLbPart {
             rr_next: 0,
             outstanding: vec![0; cfg.servers],
             outages,
-            health: ServerHealth::new(fo.health, cfg.servers),
-            probing_tag: vec![None; cfg.servers],
-            reqs: Vec::new(),
-            offered: 0,
+            arrived: Vec::new(),
+            fo,
             dispatched: vec![0; cfg.servers],
             goodput: 0,
             late: 0,
             shed: 0,
             e2e: Percentiles::new(),
-            rep,
         }
     }
 
-    fn class_of(&self, tenant: usize) -> usize {
-        tenant % self.cfg.classes.len()
+    /// The failover state, on paths only its timers or its Done
+    /// handling reach.
+    fn fo_mut(&mut self) -> &mut Failover {
+        self.fo.as_mut().expect("failover layer is on")
     }
 
-    fn policy_of(&self, ri: usize) -> ClassPolicy {
-        self.cfg.classes[self.reqs[ri].class]
+    /// Releases one outstanding slot of `server`.
+    fn release(&mut self, server: usize) {
+        self.outstanding[server] = self.outstanding[server].saturating_sub(1);
     }
 
     /// The dispatch target for one attempt: a probe-due server first
     /// (lowest index — the probe IS the dispatch), then the policy
-    /// applied over the healthy subset, avoiding `avoid` (a hedge or
-    /// retry goes to a *different* server) when any alternative
-    /// exists. With nothing healthy the policy runs over every server:
-    /// the LB must dispatch somewhere, and a wrong guess only costs a
-    /// timeout.
-    fn pick_target(&mut self, tenant: usize, avoid: Option<usize>, now: Time) -> (usize, bool) {
-        if let Some(s) = self.health.probe_due(now) {
-            if avoid != Some(s) {
-                self.health.begin_probe(s);
-                return (s, true);
-            }
-        }
-        let healthy: Vec<usize> = (0..self.servers)
-            .filter(|&s| self.health.eligible(s))
-            .collect();
-        let mut cands: Vec<usize> = healthy
-            .iter()
-            .copied()
-            .filter(|&s| avoid != Some(s))
-            .collect();
-        if cands.is_empty() {
-            cands = healthy;
-        }
-        if cands.is_empty() {
-            cands = (0..self.servers).filter(|&s| avoid != Some(s)).collect();
-        }
-        if cands.is_empty() {
-            cands = (0..self.servers).collect();
-        }
-        let s = match self.policy {
-            LbPolicy::RoundRobin => {
-                let mut pick = cands[0];
-                for _ in 0..self.servers {
-                    let s = self.rr_next;
-                    self.rr_next = (self.rr_next + 1) % self.servers;
-                    if cands.contains(&s) {
-                        pick = s;
-                        break;
-                    }
+    /// applied over the healthy servers other than `avoid` (a hedge or
+    /// retry goes to a *different* server). When that leaves none, the
+    /// candidates relax `avoid` first, then health: the LB must
+    /// dispatch somewhere, and a wrong guess only costs a timeout.
+    /// Without failover every server is healthy and `avoid` is `None`,
+    /// so this is the bare policy pick.
+    pub(super) fn pick_target(
+        &mut self,
+        tenant: usize,
+        avoid: Option<usize>,
+        now: Time,
+    ) -> (usize, bool) {
+        if let Some(fo) = &mut self.fo {
+            if let Some(s) = fo.health.probe_due(now) {
+                if avoid != Some(s) {
+                    fo.health.begin_probe(s);
+                    return (s, true);
                 }
-                pick
             }
-            LbPolicy::LeastLoaded => cands
-                .iter()
-                .copied()
-                .min_by_key(|&s| (self.outstanding[s], s))
-                .expect("candidates are non-empty"),
+        }
+        let n = self.servers;
+        let health = self.fo.as_ref().map(|fo| &fo.health);
+        let healthy = |s: usize| health.is_none_or(|h| h.eligible(s));
+        let allowed = |s: usize, need_health: bool, need_avoid: bool| {
+            (!need_health || healthy(s)) && (!need_avoid || avoid != Some(s))
+        };
+        let (need_health, need_avoid) = [(true, true), (true, false), (false, true)]
+            .into_iter()
+            .find(|&(h, a)| (0..n).any(|s| allowed(s, h, a)))
+            .unwrap_or((false, false));
+        let cand = |s: usize| allowed(s, need_health, need_avoid);
+        let outstanding = &self.outstanding;
+        let least_loaded = || {
+            (0..n)
+                .filter(|&s| cand(s))
+                .min_by_key(|&s| (outstanding[s], s))
+                .expect("at least one server")
+        };
+        let s = match self.policy {
+            LbPolicy::RoundRobin => loop {
+                let s = self.rr_next;
+                self.rr_next = (s + 1) % n;
+                if cand(s) {
+                    break s;
+                }
+            },
+            LbPolicy::LeastLoaded => least_loaded(),
             LbPolicy::TenantAffinity => {
-                let pinned = tenant % self.servers;
-                if cands.contains(&pinned) {
+                let pinned = tenant % n;
+                if cand(pinned) {
                     pinned
                 } else {
                     // The pinned server is sick: spill to the least
                     // loaded healthy alternative.
-                    cands
-                        .iter()
-                        .copied()
-                        .min_by_key(|&s| (self.outstanding[s], s))
-                        .expect("candidates are non-empty")
+                    least_loaded()
                 }
             }
         };
         (s, false)
     }
 
-    /// Launches attempt `attempts.len()` of request `ri`: pick a
-    /// server, arm the per-attempt timer (exponentially backed off by
-    /// the retry count), arm the hedge timer on the first attempt of a
-    /// hedged class, and send — unless a network-cut window eats the
-    /// message, in which case the timer still fires and re-dispatches.
+    /// Launches request `ri`'s next attempt: pick a server and, under
+    /// failover, arm the per-attempt timer (exponentially backed off by
+    /// the retry count) and, on the first attempt of a hedged class,
+    /// the hedge timer. Then send — unless a network-cut window eats
+    /// the message, in which case only a failover timer re-dispatches.
     fn dispatch_attempt(
         &mut self,
         ri: usize,
+        tenant: usize,
         avoid: Option<usize>,
         hedge: bool,
         out: &mut Outbox<FleetMsg>,
     ) {
         let now = self.q.now();
-        let pol = self.policy_of(ri);
-        let tenant = self.reqs[ri].tenant;
         let (server, probe) = self.pick_target(tenant, avoid, now);
-        let k = self.reqs[ri].attempts.len();
-        debug_assert!(k < MAX_ATTEMPTS);
-        let tag = tag_of(ri, k);
-        if probe {
-            self.probing_tag[server] = Some(tag);
-        }
-        let backoff = if hedge { 0 } else { self.reqs[ri].retries_used };
-        let timeout = pol.timeout * (1u64 << backoff.min(MAX_BACKOFF_SHIFT));
-        self.q.schedule_at(now + timeout, FoEv::Timeout(tag));
-        if k == 0 {
-            if let Some(h) = pol.hedge_after {
-                self.q.schedule_at(now + h, FoEv::Hedge(tag));
+        let tag = match &mut self.fo {
+            None => tag_of(ri, 0),
+            Some(fo) => {
+                let req = &mut fo.reqs[ri];
+                let k = req.attempts.len();
+                debug_assert!(k < MAX_ATTEMPTS);
+                let tag = tag_of(ri, k);
+                if probe {
+                    fo.probing_tag[server] = Some(tag);
+                }
+                let pol = fo.cfg.classes[req.class];
+                let backoff = if hedge { 0 } else { req.retries_used };
+                let timeout = pol.timeout * (1u64 << backoff.min(MAX_BACKOFF_SHIFT));
+                self.q.schedule_at(now + timeout, Ev::Timeout(tag));
+                if k == 0 {
+                    if let Some(h) = pol.hedge_after {
+                        self.q.schedule_at(now + h, Ev::Hedge(tag));
+                    }
+                }
+                req.attempts.push(Attempt {
+                    server,
+                    sent_at: now,
+                    live: true,
+                    hedge,
+                });
+                tag
             }
-        }
-        self.reqs[ri].attempts.push(Attempt {
-            server,
-            sent_at: now,
-            live: true,
-            hedge,
-        });
+        };
         self.outstanding[server] += 1;
         self.dispatched[server] += 1;
         if self.outages[server].iter().any(|o| o.covers(now)) {
-            self.rep.dispatches_dropped += 1;
+            if let Some(fo) = &mut self.fo {
+                fo.rep.dispatches_dropped += 1;
+            }
         } else {
             out.send(
                 server,
@@ -628,66 +685,73 @@ impl FoLbPart {
 
     fn arrival(&mut self, tenant: usize, out: &mut Outbox<FleetMsg>) {
         let now = self.q.now();
-        self.offered += 1;
-        let class = self.class_of(tenant);
-        self.rep.classes[class].offered += 1;
         let ts = &mut self.tenants[tenant];
         ts.to_offer -= 1;
         if ts.to_offer > 0 {
             let gap = ts.gen.next_gap();
-            self.q.schedule_at(now + gap, FoEv::Arrival(tenant));
+            self.q.schedule_at(now + gap, Ev::Arrival(tenant));
         }
-        let ri = self.reqs.len();
-        self.reqs.push(LbReq {
-            tenant,
-            class,
-            arrived: now,
-            attempts: Vec::new(),
-            retries_used: 0,
-            open: true,
-        });
-        self.dispatch_attempt(ri, None, false, out);
+        let ri = self.arrived.len();
+        self.arrived.push(now);
+        if let Some(fo) = &mut self.fo {
+            let class = tenant % fo.cfg.classes.len();
+            fo.rep.classes[class].offered += 1;
+            fo.reqs.push(FoReq {
+                tenant,
+                class,
+                attempts: Vec::new(),
+                retries_used: 0,
+                open: true,
+            });
+        }
+        self.dispatch_attempt(ri, tenant, None, false, out);
     }
 
-    /// Takes attempt `(ri, k)` out of the live set, releasing its
-    /// server's outstanding slot; false when it already left.
-    fn retire_attempt(&mut self, ri: usize, k: usize) -> bool {
-        let a = &mut self.reqs[ri].attempts[k];
-        if !a.live {
-            return false;
-        }
-        a.live = false;
-        let s = a.server;
-        self.outstanding[s] = self.outstanding[s].saturating_sub(1);
-        true
-    }
-
-    /// Closes request `ri` with a winning resolution's verdict.
+    /// Closes request `ri` with a winning resolution's verdict. Under
+    /// failover a completion past its class SLO counts late even if
+    /// the server met its own deadline.
     fn close_with(&mut self, ri: usize, outcome: Outcome, via_hedge: bool) {
         let now = self.q.now();
-        let req = &mut self.reqs[ri];
-        req.open = false;
-        let class = req.class;
-        let arrived = req.arrived;
-        let pol = self.cfg.classes[class];
-        match outcome {
+        let arrived = self.arrived[ri];
+        let verdict = match outcome {
             Outcome::Completed { within_deadline } => {
-                let in_slo = now <= arrived + pol.slo;
+                let in_slo = self
+                    .fo
+                    .as_ref()
+                    .is_none_or(|fo| now <= arrived + fo.cfg.classes[fo.reqs[ri].class].slo);
                 if within_deadline && in_slo {
-                    self.goodput += 1;
-                    self.rep.classes[class].goodput += 1;
                     self.e2e.record((now - arrived).as_secs_f64());
-                    if via_hedge {
-                        self.rep.hedge_wins += 1;
-                    }
+                    Verdict::Goodput
                 } else {
-                    self.late += 1;
-                    self.rep.classes[class].late += 1;
+                    Verdict::Late
                 }
             }
-            Outcome::Shed => {
-                self.shed += 1;
-                self.rep.classes[class].shed += 1;
+            Outcome::Shed => Verdict::Shed,
+        };
+        self.tally(ri, verdict, via_hedge);
+    }
+
+    /// Counts request `ri`'s close fleet-wide and, under failover, in
+    /// its class.
+    fn tally(&mut self, ri: usize, verdict: Verdict, via_hedge: bool) {
+        match verdict {
+            Verdict::Goodput => self.goodput += 1,
+            Verdict::Late => self.late += 1,
+            Verdict::Shed => self.shed += 1,
+        }
+        if let Some(fo) = &mut self.fo {
+            let req = &mut fo.reqs[ri];
+            req.open = false;
+            let totals = &mut fo.rep.classes[req.class];
+            match verdict {
+                Verdict::Goodput => {
+                    totals.goodput += 1;
+                    if via_hedge {
+                        fo.rep.hedge_wins += 1;
+                    }
+                }
+                Verdict::Late => totals.late += 1,
+                Verdict::Shed => totals.shed += 1,
             }
         }
     }
@@ -700,35 +764,43 @@ impl FoLbPart {
     /// it is superseded and counts as a cancelled duplicate.
     fn retry_or_shed(&mut self, ri: usize, shed_resolution: bool, out: &mut Outbox<FleetMsg>) {
         let now = self.q.now();
-        let pol = self.policy_of(ri);
-        let req = &self.reqs[ri];
-        let in_slo = now <= req.arrived + pol.slo;
+        let arrived = self.arrived[ri];
+        let fo = self.fo_mut();
+        let req = &mut fo.reqs[ri];
+        let pol = fo.cfg.classes[req.class];
+        let in_slo = now <= arrived + pol.slo;
         let budget = req.retries_used < pol.retries && req.attempts.len() < MAX_ATTEMPTS;
         if budget && in_slo {
             let last = req.attempts.last().map(|a| a.server);
-            self.reqs[ri].retries_used += 1;
-            self.rep.retries += 1;
+            let tenant = req.tenant;
+            req.retries_used += 1;
+            fo.rep.retries += 1;
             if shed_resolution {
-                self.rep.duplicates_cancelled += 1;
+                fo.rep.duplicates_cancelled += 1;
             }
-            self.dispatch_attempt(ri, last, false, out);
-        } else if shed_resolution {
-            // The server's Shed wins: the request resolves as shed.
-            self.close_with(ri, Outcome::Shed, false);
+            self.dispatch_attempt(ri, tenant, last, false, out);
         } else {
-            // Closed by the timer alone — no resolution ever wins.
-            self.reqs[ri].open = false;
-            self.shed += 1;
-            self.rep.lb_shed += 1;
-            let class = self.reqs[ri].class;
-            self.rep.classes[class].shed += 1;
+            // The server's Shed wins: the request resolves as shed.
+            // Without one the timer alone closes it — no resolution
+            // ever wins.
+            if !shed_resolution {
+                fo.rep.lb_shed += 1;
+            }
+            self.tally(ri, Verdict::Shed, false);
         }
     }
 
     fn done(&mut self, server: usize, tag: u64, outcome: Outcome, out: &mut Outbox<FleetMsg>) {
         let now = self.q.now();
-        self.rep.resolutions_received += 1;
         let (ri, k) = untag(tag);
+        let Some(fo) = &mut self.fo else {
+            // Without failover an attempt is its request's only one and
+            // resolves at most once.
+            self.release(server);
+            self.close_with(ri, outcome, false);
+            return;
+        };
+        fo.rep.resolutions_received += 1;
         // Health signals. A probe reinstates the server only when the
         // probed request actually completed: a crashed server's shed
         // layer answers probes instantly over a perfectly healthy
@@ -737,24 +809,28 @@ impl FoLbPart {
         // sample, while a shed — however *fast* it came back —
         // extends the server's failure streak: a crashed or saturated
         // server rejecting instantly must lose traffic, not gain it.
-        if self.probing_tag[server] == Some(tag) {
-            self.probing_tag[server] = None;
+        if fo.probing_tag[server] == Some(tag) {
+            fo.probing_tag[server] = None;
             match outcome {
-                Outcome::Completed { .. } => self.health.probe_ok(server),
-                Outcome::Shed => self.health.probe_fail(server, now),
+                Outcome::Completed { .. } => fo.health.probe_ok(server),
+                Outcome::Shed => fo.health.probe_fail(server, now),
             }
         } else {
             match outcome {
                 Outcome::Completed { .. } => {
-                    let sent = self.reqs[ri].attempts[k].sent_at;
-                    self.health.record(server, (now - sent).as_secs_f64(), now);
+                    let sent = fo.reqs[ri].attempts[k].sent_at;
+                    fo.health.record(server, (now - sent).as_secs_f64(), now);
                 }
-                Outcome::Shed => self.health.on_failure(server, now),
+                Outcome::Shed => fo.health.on_failure(server, now),
             }
         }
-        self.retire_attempt(ri, k);
-        if !self.reqs[ri].open {
-            self.rep.duplicates_cancelled += 1;
+        if let Some(s) = fo.retire(ri, k) {
+            self.release(s);
+        }
+        let fo = self.fo_mut();
+        let req = &fo.reqs[ri];
+        if !req.open {
+            fo.rep.duplicates_cancelled += 1;
             return;
         }
         match outcome {
@@ -762,14 +838,14 @@ impl FoLbPart {
                 // First resolution wins — even a late original whose
                 // timer already fired and whose retry is in flight;
                 // the retry's resolution will arrive as a duplicate.
-                let via_hedge = self.reqs[ri].attempts[k].hedge;
+                let via_hedge = req.attempts[k].hedge;
                 self.close_with(ri, outcome, via_hedge);
             }
             Outcome::Shed => {
-                if self.reqs[ri].attempts.iter().any(|a| a.live) {
+                if req.attempts.iter().any(|a| a.live) {
                     // A parallel arm (hedge or raced retry) is still
                     // running; this shed decides nothing.
-                    self.rep.duplicates_cancelled += 1;
+                    fo.rep.duplicates_cancelled += 1;
                 } else {
                     self.retry_or_shed(ri, true, out);
                 }
@@ -780,70 +856,77 @@ impl FoLbPart {
     fn timeout(&mut self, tag: u64, out: &mut Outbox<FleetMsg>) {
         let now = self.q.now();
         let (ri, k) = untag(tag);
-        if !self.retire_attempt(ri, k) {
+        let fo = self.fo_mut();
+        let Some(server) = fo.retire(ri, k) else {
             return; // Resolved before the timer fired; stale.
-        }
-        self.rep.timeouts += 1;
-        let server = self.reqs[ri].attempts[k].server;
-        if self.probing_tag[server] == Some(tag) {
-            self.probing_tag[server] = None;
-            self.health.probe_fail(server, now);
+        };
+        fo.rep.timeouts += 1;
+        if fo.probing_tag[server] == Some(tag) {
+            fo.probing_tag[server] = None;
+            fo.health.probe_fail(server, now);
         } else {
-            self.health.on_failure(server, now);
+            fo.health.on_failure(server, now);
         }
-        if !self.reqs[ri].open {
-            return; // Hedge-arm timer of an already-closed request.
+        let req = &fo.reqs[ri];
+        // A hedge-arm timer of an already-closed request, or the
+        // other arm still in flight: nothing to re-dispatch.
+        let settled = !req.open || req.attempts.iter().any(|a| a.live);
+        self.release(server);
+        if !settled {
+            self.retry_or_shed(ri, false, out);
         }
-        if self.reqs[ri].attempts.iter().any(|a| a.live) {
-            return; // The other arm is still in flight.
-        }
-        self.retry_or_shed(ri, false, out);
     }
 
     fn hedge(&mut self, tag: u64, out: &mut Outbox<FleetMsg>) {
         let (ri, k) = untag(tag);
-        let req = &self.reqs[ri];
+        let fo = self.fo_mut();
+        let req = &fo.reqs[ri];
         if !req.open || !req.attempts[k].live || req.attempts.len() >= MAX_ATTEMPTS {
             return;
         }
-        let primary = req.attempts[k].server;
-        self.rep.hedges += 1;
-        self.dispatch_attempt(ri, Some(primary), true, out);
+        let (primary, tenant) = (req.attempts[k].server, req.tenant);
+        fo.rep.hedges += 1;
+        self.dispatch_attempt(ri, tenant, Some(primary), true, out);
     }
 
-    /// Finishes the run: fold the health counters into the report and
-    /// count stranded (still-open) requests — structurally zero.
+    /// Closes the run into the fleet's result, given what the server
+    /// partitions reported. Under failover the health counters and the
+    /// server-side `resolutions_dropped` fold into the report, with the
+    /// count of requests still open — structurally zero.
     pub(super) fn finish(
         mut self,
-    ) -> (
-        u64,
-        Vec<u64>,
-        u64,
-        u64,
-        u64,
-        Percentiles,
-        u64,
-        FailoverReport,
-    ) {
-        self.rep.demotions = self.health.demotions;
-        self.rep.darks = self.health.darks;
-        self.rep.probes = self.health.probes;
-        self.rep.recoveries = self.health.recoveries;
-        self.rep.stranded = self.reqs.iter().filter(|r| r.open).count() as u64;
-        (
-            self.offered,
-            self.dispatched,
-            self.goodput,
-            self.late,
-            self.shed,
-            self.e2e,
-            self.q.events_processed(),
-            self.rep,
-        )
+        windows: WindowStats,
+        servers: Vec<RunResult>,
+        server_events: u64,
+        resolutions_dropped: u64,
+    ) -> FleetResult {
+        let failover = self.fo.map(|fo| FailoverReport {
+            demotions: fo.health.demotions,
+            darks: fo.health.darks,
+            probes: fo.health.probes,
+            recoveries: fo.health.recoveries,
+            stranded: fo.reqs.iter().filter(|r| r.open).count() as u64,
+            resolutions_dropped,
+            ..fo.rep
+        });
+        FleetResult {
+            offered: self.arrived.len() as u64,
+            dispatched: self.dispatched,
+            goodput: self.goodput,
+            late: self.late,
+            shed: self.shed,
+            e2e_p50: Time::from_secs_f64(self.e2e.p50().unwrap_or(0.0)),
+            e2e_p99: Time::from_secs_f64(self.e2e.p99().unwrap_or(0.0)),
+            e2e_p999: Time::from_secs_f64(self.e2e.p999().unwrap_or(0.0)),
+            windows,
+            events: server_events + self.q.events_processed(),
+            servers,
+            failover,
+        }
     }
 }
 
-impl Partition for FoLbPart {
+impl Partition for Balancer {
     type Msg = FleetMsg;
 
     fn next_time(&self) -> Option<Time> {
@@ -851,13 +934,15 @@ impl Partition for FoLbPart {
     }
 
     fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
+        // Returning resolutions join the local queue so they interleave
+        // with arrivals and timers in timestamp order.
         for m in inbox {
-            let FleetMsg::Done { tag, outcome, .. } = m.payload else {
+            let FleetMsg::Done { tag, outcome } = m.payload else {
                 unreachable!("the LB only receives resolutions");
             };
             self.q.schedule_at(
                 m.time,
-                FoEv::Done {
+                Ev::Done {
                     server: m.src,
                     tag,
                     outcome,
@@ -866,14 +951,14 @@ impl Partition for FoLbPart {
         }
         while self.q.peek_time().is_some_and(|t| t < horizon) {
             match self.q.pop().expect("peeked event") {
-                FoEv::Arrival(t) => self.arrival(t, out),
-                FoEv::Done {
+                Ev::Arrival(t) => self.arrival(t, out),
+                Ev::Done {
                     server,
                     tag,
                     outcome,
                 } => self.done(server, tag, outcome, out),
-                FoEv::Timeout(tag) => self.timeout(tag, out),
-                FoEv::Hedge(tag) => self.hedge(tag, out),
+                Ev::Timeout(tag) => self.timeout(tag, out),
+                Ev::Hedge(tag) => self.hedge(tag, out),
             }
         }
     }

@@ -7,7 +7,11 @@
 //! ([`InterNodeFabric`]), runs through the server's full engine —
 //! admission, EDF dispatch, chains, every robustness layer — and its
 //! resolution travels back to the LB, which records end-to-end latency
-//! and goodput.
+//! and goodput. Every dispatch carries a tag naming its request and
+//! attempt, echoed in the resolution, so the LB pairs each resolution
+//! with the exact request it answers: a server resolves a tenant's
+//! requests out of order, and each end-to-end sample is still its own
+//! request's latency.
 //!
 //! The whole fleet is **one** simulation, executed on the conservative
 //! partitioned engine (`dmx_sim::partition`): each server is a
@@ -33,10 +37,10 @@
 //!
 //! * [`FleetFaultPlan`] ([`plan`]) kills, grays out, or unplugs whole
 //!   servers mid-run, by folding into each server's own fault config;
-//! * [`FailoverConfig`] ([`failover`]) swaps the legacy FIFO balancer
-//!   for one with delayed-knowledge health scoring, per-request
-//!   timeouts with cross-server re-dispatch, attempt-tagged first-wins
-//!   dedup, and per-class SLO retry/hedge policies.
+//! * [`FailoverConfig`] ([`failover`]) arms the balancer with
+//!   delayed-knowledge health scoring, per-request timeouts with
+//!   cross-server re-dispatch, first-wins dedup of duplicate
+//!   resolutions, and per-class SLO retry/hedge policies.
 //!
 //! Both compose with partitioned execution unchanged: a failed-over
 //! fleet is still byte-identical for any `shards`.
@@ -53,9 +57,8 @@ use crate::overload::TenantOverload;
 use crate::system::{Outcome, RunResult, SimError, Stepped, SystemConfig};
 use dmx_pcie::{InterNodeFabric, LinkOutage};
 use dmx_sim::partition::{run_conservative, Outbox, Partition, WindowStats, XMsg};
-use dmx_sim::{ArrivalGen, ArrivalProcess, EventQueue, Percentiles, SplitMix64, Time};
-use failover::FoLbPart;
-use std::collections::VecDeque;
+use dmx_sim::{ArrivalProcess, Time};
+use failover::Balancer;
 use std::fmt;
 
 /// Configuration of one fleet run.
@@ -85,8 +88,9 @@ pub struct FleetConfig {
     /// Response body carried server→LB.
     pub response_bytes: u64,
     /// Fleet-level failover layer (health-aware dispatch, re-dispatch,
-    /// SLO classes). `None` — or an inert config — runs the exact
-    /// legacy balancer, bit-identical to the layer-absent fleet.
+    /// SLO classes). `None` — or an inert config — runs the bare
+    /// balancer: no timers, no health scoring, bit-identical to the
+    /// layer-absent fleet.
     pub failover: Option<FailoverConfig>,
     /// Fleet-level fault schedule (server kills, gray-outs, network
     /// cuts). `None` — or an inert plan — changes nothing.
@@ -116,211 +120,14 @@ impl fmt::Display for LbPolicy {
 }
 
 /// Cross-partition traffic: requests out, resolutions back. Every
-/// message carries the dispatch-attempt tag; the legacy balancer
-/// stamps `0` everywhere and matches FIFO, the failover balancer
-/// encodes `(request << 6) | attempt` and matches exactly.
+/// message carries the dispatch-attempt tag `(request << 6) | attempt`,
+/// which the balancer matches exactly.
 #[derive(Debug, Clone, Copy)]
 enum FleetMsg {
     /// LB → server: one request of `tenant` arrives.
     Dispatch { tenant: usize, tag: u64 },
-    /// Server → LB: one request of `tenant` resolved.
-    Done {
-        tenant: usize,
-        tag: u64,
-        outcome: Outcome,
-    },
-}
-
-/// Load-balancer local events, time-ordered on its own queue so
-/// arrivals and returning resolutions interleave correctly.
-#[derive(Debug)]
-enum LbEv {
-    Arrival(usize),
-    Done {
-        server: usize,
-        tenant: usize,
-        outcome: Outcome,
-    },
-}
-
-/// One LB-side tenant: its arrival stream and offer budget.
-#[derive(Debug)]
-struct LbTenant {
-    gen: ArrivalGen,
-    to_offer: usize,
-}
-
-/// The load-balancer partition.
-struct LbPart {
-    q: EventQueue<LbEv>,
-    tenants: Vec<LbTenant>,
-    policy: LbPolicy,
-    fabric: InterNodeFabric,
-    request_bytes: u64,
-    servers: usize,
-    rr_next: usize,
-    /// LB's view of per-server outstanding work (dispatch minus
-    /// received resolution) — the delayed least-loaded signal.
-    outstanding: Vec<usize>,
-    /// Dispatch times per (server, tenant), matched FIFO against
-    /// resolutions of the same pair to form end-to-end samples.
-    in_flight: Vec<Vec<VecDeque<Time>>>,
-    /// Network-cut windows per server (from the fleet fault plan;
-    /// all empty without one). A dispatch sent into a window is lost —
-    /// under the legacy balancer nothing recovers it, which is the
-    /// baseline the failover layer exists to fix.
-    outages: Vec<Vec<LinkOutage>>,
-    /// Accounting.
-    offered: u64,
-    dispatched: Vec<u64>,
-    goodput: u64,
-    late: u64,
-    shed: u64,
-    e2e: Percentiles,
-}
-
-impl LbPart {
-    fn new(cfg: &FleetConfig, tenant_count: usize, outages: Vec<Vec<LinkOutage>>) -> LbPart {
-        let mut root = SplitMix64::new(cfg.seed);
-        let mut q = EventQueue::new();
-        let mut tenants: Vec<LbTenant> = (0..tenant_count)
-            .map(|i| {
-                let sub = root.next_u64();
-                LbTenant {
-                    gen: ArrivalGen::new(
-                        cfg.arrivals[i % cfg.arrivals.len()],
-                        SplitMix64::new(sub),
-                    ),
-                    to_offer: cfg.requests_per_tenant,
-                }
-            })
-            .collect();
-        // Seed each tenant's first arrival, as the single-server
-        // open-loop mode does.
-        for (t, ts) in tenants.iter_mut().enumerate() {
-            if ts.to_offer > 0 {
-                let gap = ts.gen.next_gap();
-                q.schedule_at(gap, LbEv::Arrival(t));
-            }
-        }
-        LbPart {
-            q,
-            tenants,
-            policy: cfg.policy,
-            fabric: cfg.fabric,
-            request_bytes: cfg.request_bytes,
-            servers: cfg.servers,
-            rr_next: 0,
-            outstanding: vec![0; cfg.servers],
-            in_flight: vec![vec![VecDeque::new(); tenant_count]; cfg.servers],
-            outages,
-            offered: 0,
-            dispatched: vec![0; cfg.servers],
-            goodput: 0,
-            late: 0,
-            shed: 0,
-            e2e: Percentiles::new(),
-        }
-    }
-
-    fn pick_server(&mut self, tenant: usize) -> usize {
-        match self.policy {
-            LbPolicy::RoundRobin => {
-                let s = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.servers;
-                s
-            }
-            LbPolicy::LeastLoaded => self
-                .outstanding
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, &o)| (o, *i))
-                .map(|(i, _)| i)
-                .expect("at least one server"),
-            LbPolicy::TenantAffinity => tenant % self.servers,
-        }
-    }
-
-    fn arrival(&mut self, tenant: usize, out: &mut Outbox<FleetMsg>) {
-        let now = self.q.now();
-        self.offered += 1;
-        let ts = &mut self.tenants[tenant];
-        ts.to_offer -= 1;
-        if ts.to_offer > 0 {
-            let gap = ts.gen.next_gap();
-            self.q.schedule_at(now + gap, LbEv::Arrival(tenant));
-        }
-        let s = self.pick_server(tenant);
-        self.outstanding[s] += 1;
-        self.dispatched[s] += 1;
-        self.in_flight[s][tenant].push_back(now);
-        if self.outages[s].iter().any(|o| o.covers(now)) {
-            return; // The hop is dark; the dispatch is lost.
-        }
-        out.send(
-            s,
-            now + self.fabric.delivery_time(self.request_bytes),
-            FleetMsg::Dispatch { tenant, tag: 0 },
-        );
-    }
-
-    fn done(&mut self, server: usize, tenant: usize, outcome: Outcome) {
-        let now = self.q.now();
-        self.outstanding[server] = self.outstanding[server].saturating_sub(1);
-        let started = self.in_flight[server][tenant]
-            .pop_front()
-            .expect("resolution without a matching dispatch");
-        match outcome {
-            Outcome::Completed { within_deadline } => {
-                if within_deadline {
-                    self.goodput += 1;
-                    self.e2e.record((now - started).as_secs_f64());
-                } else {
-                    self.late += 1;
-                }
-            }
-            Outcome::Shed => self.shed += 1,
-        }
-    }
-}
-
-impl Partition for LbPart {
-    type Msg = FleetMsg;
-
-    fn next_time(&self) -> Option<Time> {
-        self.q.peek_time()
-    }
-
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
-        // Returning resolutions join the local queue so they interleave
-        // with arrivals in timestamp order.
-        for m in inbox {
-            let FleetMsg::Done {
-                tenant, outcome, ..
-            } = m.payload
-            else {
-                unreachable!("the LB only receives resolutions");
-            };
-            self.q.schedule_at(
-                m.time,
-                LbEv::Done {
-                    server: m.src,
-                    tenant,
-                    outcome,
-                },
-            );
-        }
-        while self.q.peek_time().is_some_and(|t| t < horizon) {
-            match self.q.pop().expect("peeked event") {
-                LbEv::Arrival(t) => self.arrival(t, out),
-                LbEv::Done {
-                    server,
-                    tenant,
-                    outcome,
-                } => self.done(server, tenant, outcome),
-            }
-        }
-    }
+    /// Server → LB: the attempt `tag` resolved.
+    Done { tag: u64, outcome: Outcome },
 }
 
 /// One server partition: a stepped engine plus its return path.
@@ -361,7 +168,6 @@ impl Partition for ServerPart<'_> {
                 self.lb,
                 r.at + self.fabric.delivery_time(self.response_bytes),
                 FleetMsg::Done {
-                    tenant: r.app,
                     tag: r.tag,
                     outcome: r.outcome,
                 },
@@ -374,8 +180,7 @@ impl Partition for ServerPart<'_> {
 /// gives `run_conservative` its homogeneous slice.
 enum FleetPart<'a> {
     Server(Box<ServerPart<'a>>),
-    Lb(Box<LbPart>),
-    FoLb(Box<FoLbPart>),
+    Balancer(Box<Balancer>),
 }
 
 impl Partition for FleetPart<'_> {
@@ -384,16 +189,14 @@ impl Partition for FleetPart<'_> {
     fn next_time(&self) -> Option<Time> {
         match self {
             FleetPart::Server(s) => s.next_time(),
-            FleetPart::Lb(l) => l.next_time(),
-            FleetPart::FoLb(l) => l.next_time(),
+            FleetPart::Balancer(l) => l.next_time(),
         }
     }
 
     fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
         match self {
             FleetPart::Server(s) => s.advance(horizon, inbox, out),
-            FleetPart::Lb(l) => l.advance(horizon, inbox, out),
-            FleetPart::FoLb(l) => l.advance(horizon, inbox, out),
+            FleetPart::Balancer(l) => l.advance(horizon, inbox, out),
         }
     }
 }
@@ -429,8 +232,8 @@ pub struct FleetResult {
     /// Per-server run results (per-tenant overload accounting, energy,
     /// robustness reports).
     pub servers: Vec<RunResult>,
-    /// Failover-layer accounting; `None` when the fleet ran the legacy
-    /// balancer (no failover config, or an inert one).
+    /// Failover-layer accounting; `None` when the fleet ran without
+    /// the layer (no failover config, or an inert one).
     pub failover: Option<FailoverReport>,
 }
 
@@ -445,7 +248,7 @@ impl FleetResult {
         self.offered == self.resolved()
     }
 
-    /// The duplicates-aware conservation ledger. On the legacy path
+    /// The duplicates-aware conservation ledger. Without failover
     /// this is [`conserved`](FleetResult::conserved); under failover it
     /// additionally demands zero stranded requests and that every
     /// server resolution the LB received either won its request or was
@@ -516,9 +319,10 @@ impl FleetResult {
 ///
 /// # Errors
 ///
-/// `NoApps` / `NoOverload` from server construction; fleet configs with
-/// zero servers, zero tenants, or an empty arrival list are rejected as
-/// `NoApps`.
+/// `NoApps` / `NoOverload` / `InvalidConfig` from server construction;
+/// fleet configs with zero servers, zero tenants, or an empty arrival
+/// list are rejected as `NoApps`, and a live failover layer whose
+/// health `window` or `min_samples` is zero as `InvalidConfig`.
 pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, SimError> {
     if cfg.servers == 0 || cfg.arrivals.is_empty() || cfg.requests_per_tenant == 0 {
         return Err(SimError::NoApps);
@@ -528,6 +332,11 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
     // run the exact same code path, bit for bit.
     let plan = cfg.fault_plan.as_ref().filter(|p| !p.is_inert());
     let fo = cfg.failover.as_ref().filter(|f| !f.is_inert());
+    if fo.is_some_and(|f| f.health.window == 0 || f.health.min_samples == 0) {
+        return Err(SimError::InvalidConfig(
+            "failover health window and min_samples must be >= 1",
+        ));
+    }
     // Per-server fault configs: `None` for servers the plan leaves
     // untouched (they borrow the shared config verbatim). Declared
     // before `parts`, whose engines borrow into it.
@@ -554,16 +363,17 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
     let lb_outages: Vec<Vec<LinkOutage>> = (0..cfg.servers)
         .map(|s| plan.map(|p| p.outages_for(s)).unwrap_or_default())
         .collect();
-    parts.push(match fo {
-        Some(f) => FleetPart::FoLb(Box::new(FoLbPart::new(cfg, f, tenant_count, lb_outages))),
-        None => FleetPart::Lb(Box::new(LbPart::new(cfg, tenant_count, lb_outages))),
-    });
+    parts.push(FleetPart::Balancer(Box::new(Balancer::new(
+        cfg,
+        fo,
+        tenant_count,
+        lb_outages,
+    ))));
 
     let windows = run_conservative(&mut parts, cfg.fabric.lookahead(), shards);
 
     let mut servers = Vec::with_capacity(cfg.servers);
     let mut lb = None;
-    let mut fo_lb = None;
     let mut events = 0;
     let mut resolutions_dropped = 0;
     for p in parts {
@@ -573,46 +383,11 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
                 resolutions_dropped += s.resolutions_dropped;
                 servers.push(s.sim.finish());
             }
-            FleetPart::Lb(l) => lb = Some(l),
-            FleetPart::FoLb(l) => fo_lb = Some(l),
+            FleetPart::Balancer(l) => lb = Some(l),
         }
     }
-    Ok(if let Some(l) = fo_lb {
-        let (offered, dispatched, goodput, late, shed, mut e2e, lb_events, mut rep) = l.finish();
-        rep.resolutions_dropped = resolutions_dropped;
-        events += lb_events;
-        FleetResult {
-            offered,
-            dispatched,
-            goodput,
-            late,
-            shed,
-            e2e_p50: Time::from_secs_f64(e2e.p50().unwrap_or(0.0)),
-            e2e_p99: Time::from_secs_f64(e2e.p99().unwrap_or(0.0)),
-            e2e_p999: Time::from_secs_f64(e2e.p999().unwrap_or(0.0)),
-            windows,
-            events,
-            servers,
-            failover: Some(rep),
-        }
-    } else {
-        let mut lb = *lb.expect("one LB partition");
-        events += lb.q.events_processed();
-        FleetResult {
-            offered: lb.offered,
-            dispatched: lb.dispatched.clone(),
-            goodput: lb.goodput,
-            late: lb.late,
-            shed: lb.shed,
-            e2e_p50: Time::from_secs_f64(lb.e2e.p50().unwrap_or(0.0)),
-            e2e_p99: Time::from_secs_f64(lb.e2e.p99().unwrap_or(0.0)),
-            e2e_p999: Time::from_secs_f64(lb.e2e.p999().unwrap_or(0.0)),
-            windows,
-            events,
-            servers,
-            failover: None,
-        }
-    })
+    let lb = lb.expect("one LB partition");
+    Ok(lb.finish(windows, servers, events, resolutions_dropped))
 }
 
 /// Panicking variant of [`try_run_fleet`].
@@ -750,13 +525,132 @@ mod tests {
         // signal directly: equal outstanding counts resolve to the
         // lowest server index, whatever the tenant.
         let cfg = small_fleet(3, LbPolicy::LeastLoaded, 10.0);
-        let mut lb = LbPart::new(&cfg, 3, vec![Vec::new(); 3]);
-        assert_eq!(lb.pick_server(0), 0, "all-zero tie goes to server 0");
-        assert_eq!(lb.pick_server(2), 0, "tie-break ignores the tenant");
+        let mut lb = Balancer::new(&cfg, None, 3, vec![Vec::new(); 3]);
+        let pick = |lb: &mut Balancer, tenant| lb.pick_target(tenant, None, Time::ZERO).0;
+        assert_eq!(pick(&mut lb, 0), 0, "all-zero tie goes to server 0");
+        assert_eq!(pick(&mut lb, 2), 0, "tie-break ignores the tenant");
         lb.outstanding = vec![2, 1, 1];
-        assert_eq!(lb.pick_server(0), 1, "two-way tie goes to the lower index");
+        assert_eq!(pick(&mut lb, 0), 1, "two-way tie goes to the lower index");
         lb.outstanding = vec![2, 1, 0];
-        assert_eq!(lb.pick_server(0), 2, "a strict minimum wins outright");
+        assert_eq!(pick(&mut lb, 0), 2, "a strict minimum wins outright");
+    }
+
+    /// A scripted server: it holds every dispatch until `n` have
+    /// arrived, then resolves them in reverse order, `gap` apart.
+    struct Reverser {
+        n: usize,
+        gap: Time,
+        /// `(tag, delivered at)` per held dispatch.
+        held: Vec<(u64, Time)>,
+        /// `(delivered at, resolution at the LB)` per resolution.
+        sent: Vec<(Time, Time)>,
+    }
+
+    /// The scripted server and the balancer under test.
+    enum Scripted {
+        Server(Reverser),
+        Lb(Box<Balancer>),
+    }
+
+    impl Partition for Scripted {
+        type Msg = FleetMsg;
+
+        fn next_time(&self) -> Option<Time> {
+            match self {
+                Scripted::Server(_) => None,
+                Scripted::Lb(l) => l.next_time(),
+            }
+        }
+
+        fn advance(
+            &mut self,
+            horizon: Time,
+            inbox: Vec<XMsg<FleetMsg>>,
+            out: &mut Outbox<FleetMsg>,
+        ) {
+            let r = match self {
+                Scripted::Server(r) => r,
+                Scripted::Lb(l) => return l.advance(horizon, inbox, out),
+            };
+            for m in inbox {
+                let FleetMsg::Dispatch { tag, .. } = m.payload else {
+                    unreachable!("servers only receive dispatches");
+                };
+                r.held.push((tag, m.time));
+            }
+            if r.held.len() == r.n {
+                for (i, (tag, delivered)) in r.held.drain(..).rev().enumerate() {
+                    let at = horizon + r.gap * (i as u64 + 1);
+                    let outcome = Outcome::Completed {
+                        within_deadline: true,
+                    };
+                    out.send(1, at, FleetMsg::Done { tag, outcome });
+                    r.sent.push((delivered, at));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_order_resolutions_pair_by_dispatch_tag() {
+        // One server, one tenant, two requests; the server resolves
+        // the second before the first. Each end-to-end sample must be
+        // its own request's latency, which FIFO pairing per (server,
+        // tenant) would swap.
+        let mut cfg = small_fleet(1, LbPolicy::RoundRobin, 1000.0);
+        cfg.requests_per_tenant = 2;
+        let lb = Balancer::new(&cfg, None, 1, vec![Vec::new()]);
+        let server = Reverser {
+            n: 2,
+            gap: Time::from_ms(1),
+            held: Vec::new(),
+            sent: Vec::new(),
+        };
+        let mut parts = vec![Scripted::Server(server), Scripted::Lb(Box::new(lb))];
+        let windows = run_conservative(&mut parts, cfg.fabric.lookahead(), 1);
+        let (Some(Scripted::Lb(lb)), Some(Scripted::Server(server))) = (parts.pop(), parts.pop())
+        else {
+            unreachable!("parts are [server, lb]");
+        };
+        let r = lb.finish(windows, Vec::new(), 0, 0);
+        assert_eq!((r.offered, r.goodput), (2, 2));
+
+        // The LB dispatched each request one fabric hop before its
+        // delivery; a resolution is stamped with its arrival at the LB.
+        let hop = cfg.fabric.delivery_time(cfg.request_bytes);
+        let e2e = |delivered: Time, resolved: Time| {
+            Time::from_secs_f64((resolved - (delivered - hop)).as_secs_f64())
+        };
+        // `sent` is in resolution order: the second dispatch first.
+        let [(d_second, r_first), (d_first, r_second)] = server.sent[..] else {
+            panic!("two resolutions: {:?}", server.sent);
+        };
+        assert!(d_first < d_second);
+        let mut own = [e2e(d_second, r_first), e2e(d_first, r_second)];
+        let mut fifo = [e2e(d_first, r_first), e2e(d_second, r_second)];
+        own.sort();
+        fifo.sort();
+        assert_ne!(own, fifo, "the script must tell the pairings apart");
+        assert_eq!([r.e2e_p50, r.e2e_p999], own, "FIFO would give {fifo:?}");
+    }
+
+    #[test]
+    fn zero_failover_health_window_or_min_samples_rejected() {
+        // Three servers, so the first completion judges its server
+        // against two others whose windows are still empty. With
+        // `min_samples == 0` their means are 0/0 = NaN, and sorting
+        // them would panic; with `window == 0` no sample is ever kept.
+        for (window, min_samples) in [(16, 0), (0, 4)] {
+            let mut cfg = small_fleet(3, LbPolicy::LeastLoaded, 30.0);
+            let mut fo = two_classes(false);
+            fo.health.window = window;
+            fo.health.min_samples = min_samples;
+            cfg.failover = Some(fo);
+            assert!(
+                matches!(try_run_fleet(&cfg, 1), Err(SimError::InvalidConfig(_))),
+                "window {window}, min_samples {min_samples}"
+            );
+        }
     }
 
     #[test]

@@ -172,6 +172,9 @@ pub enum SimError {
     /// A stepped (externally-driven) simulation needs a live overload
     /// section: the admission machinery is what accepts injections.
     NoOverload,
+    /// A layer parameter is out of range; the message names it and
+    /// the bound it broke.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for SimError {
@@ -189,6 +192,7 @@ impl fmt::Display for SimError {
                 write!(f, "layout has no DRX unit for app {app} edge {stage}")
             }
             SimError::Fabric(e) => write!(f, "fabric error: {e}"),
+            SimError::InvalidConfig(what) => write!(f, "invalid config: {what}"),
         }
     }
 }
@@ -920,9 +924,9 @@ struct Sim<'a> {
     /// mutations cannot double-schedule the same boundary.
     chunk_sched: Option<(Time, u64)>,
     /// Externally-driven mode (fleet servers): arrivals come from
-    /// [`Stepped::inject_arrival`] instead of per-tenant generators,
-    /// and every request resolution is recorded in `resolutions` for
-    /// the caller to drain.
+    /// [`Stepped::inject_arrival_tagged`] instead of per-tenant
+    /// generators, and every request resolution is recorded in
+    /// `resolutions` for the caller to drain.
     external: bool,
     /// Resolutions recorded since the last drain; only populated in
     /// external mode.
@@ -939,9 +943,8 @@ pub struct Resolution {
     /// Tenant (app index) it belonged to.
     pub app: usize,
     /// The opaque tag the caller stamped on the injected arrival
-    /// ([`Stepped::inject_arrival_tagged`]); zero for untagged
-    /// arrivals. Lets a front end match this resolution to the exact
-    /// dispatch attempt it answers, instead of pairing FIFO.
+    /// ([`Stepped::inject_arrival_tagged`]). Lets a front end match
+    /// this resolution to the exact dispatch attempt it answers.
     pub tag: u64,
     /// What happened to it.
     pub outcome: Outcome,
@@ -3067,7 +3070,7 @@ impl<'a> Sim<'a> {
         }
         if self.external {
             // Arrivals come from the fleet front end via
-            // `Stepped::inject_arrival`; nothing to seed.
+            // `Stepped::inject_arrival_tagged`; nothing to seed.
         } else if self.ov.as_ref().is_some_and(|o| o.open_loop) {
             // Open loop: tenants submit on their own schedule — seed
             // each arrival stream instead of pre-launching requests.
@@ -3151,74 +3154,12 @@ impl<'a> Sim<'a> {
 
     fn run(mut self) -> Result<RunResult, SimError> {
         self.seed()?;
-        let prof = std::env::var_os("DMX_EVPROF").is_some();
-        let mut prof_ns = [0u64; 16];
-        let mut prof_n = [0u64; 16];
         while let Some(ev) = self.q.pop() {
-            let pk = if prof {
-                let k = match &ev {
-                    Ev::StepDone(id, _) => match self
-                        .reqs
-                        .get(*id)
-                        .map(|r| self.steps[r.app].get(r.step).copied())
-                    {
-                        Some(Some(Step::Kernel(_))) => 8,
-                        Some(Some(Step::DriverPre(_) | Step::DriverPost(_))) => 9,
-                        Some(Some(Step::ToRestr(_))) => 10,
-                        Some(Some(Step::Restr(_))) => 11,
-                        Some(Some(Step::ToNext(_))) => 12,
-                        Some(None) => 13,
-                        None => 0,
-                    },
-                    Ev::Arrival(..) => 1,
-                    Ev::CpuTick(..) => 2,
-                    Ev::FlowTick(..) | Ev::ChunkTick(..) => 3,
-                    Ev::SharedTick(..) => 4,
-                    Ev::IntegrityDone(..) => 5,
-                    Ev::HedgeCheck(..) | Ev::HedgeDone(..) => 6,
-                    _ => 7,
-                };
-                Some((k, std::time::Instant::now()))
-            } else {
-                None
-            };
             self.handle(ev)?;
-            if let Some((k, t0)) = pk {
-                prof_ns[k] += t0.elapsed().as_nanos() as u64;
-                prof_n[k] += 1;
-            }
             // Stop once every request has completed; remaining events
             // (scheduled deaths, retrain restores) cannot change stats.
             if self.remaining == 0 {
                 break;
-            }
-        }
-        if prof {
-            let names = [
-                "StepDone",
-                "Arrival",
-                "CpuTick",
-                "FlowTick",
-                "SharedTick",
-                "Integrity",
-                "Hedge",
-                "other",
-                "SD-Kernel",
-                "SD-Driver",
-                "SD-ToRestr",
-                "SD-Restr",
-                "SD-ToNext",
-                "SD-finish",
-            ];
-            for (i, n) in names.iter().enumerate() {
-                if prof_n[i] > 0 {
-                    eprintln!(
-                        "EVPROF {n:10} n={:8} total={:9}us mean={:5}ns",
-                        prof_n[i],
-                        prof_ns[i] / 1000,
-                        prof_ns[i] / prof_n[i]
-                    );
-                }
             }
         }
         Ok(self.finish())
@@ -3371,6 +3312,14 @@ pub fn simulate(cfg: &SystemConfig) -> RunResult {
 }
 
 /// Fallible variant of [`simulate`].
+///
+/// # Errors
+///
+/// `NoApps`, `NoRequests` or `NoInflight` for an empty workload;
+/// `InvalidConfig` for a live layer the engine cannot run (a finite
+/// admission rate that is not positive, a burst under one token, or a
+/// zero fail-slow scorer `window` or `min_samples`); engine errors
+/// from the run itself.
 pub fn try_simulate(cfg: &SystemConfig) -> Result<RunResult, SimError> {
     if cfg.apps.is_empty() {
         return Err(SimError::NoApps);
@@ -3381,7 +3330,32 @@ pub fn try_simulate(cfg: &SystemConfig) -> Result<RunResult, SimError> {
     if cfg.inflight_per_app == 0 {
         return Err(SimError::NoInflight);
     }
+    validate_layers(cfg)?;
     Sim::new(cfg).run()
+}
+
+/// Rejects live-layer parameters the engine would otherwise trip over
+/// mid-run: a finite admission rate builds a token bucket, which needs
+/// a positive rate and room for one token, and the fail-slow scorer
+/// averages a rolling window that must hold at least one sample. Inert
+/// layers are never built, so their parameters are not checked.
+fn validate_layers(cfg: &SystemConfig) -> Result<(), SimError> {
+    if let Some(o) = cfg.overload.as_ref().filter(|o| !o.is_inert()) {
+        let a = &o.admission;
+        if a.tokens_per_sec.is_finite() && !(a.tokens_per_sec > 0.0 && a.burst >= 1.0) {
+            return Err(SimError::InvalidConfig(
+                "a finite admission tokens_per_sec must be > 0, with burst >= 1",
+            ));
+        }
+    }
+    if let Some(f) = cfg.failslow.filter(|f| !f.is_inert()) {
+        if f.scorer.window == 0 || f.scorer.min_samples == 0 {
+            return Err(SimError::InvalidConfig(
+                "fail-slow scorer window and min_samples must be >= 1",
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// An externally-driven simulation of one server: the same engine as
@@ -3417,11 +3391,13 @@ impl<'a> Stepped<'a> {
     ///
     /// `NoApps` without applications; `NoOverload` unless the config
     /// carries a non-inert overload section (the admission machinery
-    /// is what receives injected arrivals).
+    /// is what receives injected arrivals); `InvalidConfig` for layer
+    /// parameters the engine cannot run, as in [`try_simulate`].
     pub fn new(cfg: &'a SystemConfig) -> Result<Stepped<'a>, SimError> {
         if cfg.apps.is_empty() {
             return Err(SimError::NoApps);
         }
+        validate_layers(cfg)?;
         let mut sim = Sim::new_ext(cfg, true);
         if sim.ov.is_none() {
             return Err(SimError::NoOverload);
@@ -3450,18 +3426,13 @@ impl<'a> Stepped<'a> {
     /// Schedules one arrival of tenant `app` at absolute time `at`
     /// (which must not precede any horizon already pumped past). The
     /// arrival runs the full admission path and will resolve exactly
-    /// once — as a completion or a shed — in [`drain_resolutions`].
+    /// once — as a completion or a shed — in [`drain_resolutions`],
+    /// echoing the opaque caller `tag` verbatim in its [`Resolution`].
+    /// A fleet load balancer stamps each dispatch attempt with a unique
+    /// tag, so it pairs every resolution with the exact attempt it
+    /// answers even when a server resolves requests out of order.
     ///
     /// [`drain_resolutions`]: Stepped::drain_resolutions
-    pub fn inject_arrival(&mut self, app: usize, at: Time) {
-        self.inject_arrival_tagged(app, at, 0);
-    }
-
-    /// [`inject_arrival`](Stepped::inject_arrival) with an opaque
-    /// caller tag, echoed verbatim in the matching [`Resolution`]. A
-    /// failover-aware load balancer stamps each dispatch attempt with
-    /// a unique tag so late resolutions of superseded attempts are
-    /// recognized exactly, not paired FIFO.
     pub fn inject_arrival_tagged(&mut self, app: usize, at: Time, tag: u64) {
         self.sim.remaining += 1;
         self.sim.q.schedule_at(at, Ev::Arrival(app, tag));
@@ -3786,6 +3757,51 @@ mod tests {
             "ledger leak: {i:?} {:?}",
             r.crashes
         );
+    }
+
+    #[test]
+    fn zero_admission_token_rate_is_an_error_not_a_panic() {
+        // A finite admission rate builds a token bucket, which asserts
+        // a positive rate.
+        let mut cfg = SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), apps(2));
+        cfg.requests_per_app = 3;
+        cfg.overload = Some(OverloadConfig {
+            arrivals: vec![dmx_sim::ArrivalProcess::Poisson { rate_rps: 1000.0 }],
+            admission: crate::overload::AdmissionParams {
+                tokens_per_sec: 0.0,
+                burst: 4.0,
+                max_inflight: 8,
+            },
+            ..OverloadConfig::none()
+        });
+        assert!(matches!(
+            try_simulate(&cfg),
+            Err(SimError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            Stepped::new(&cfg),
+            Err(SimError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn zero_failslow_scorer_window_is_an_error_not_a_panic() {
+        // With an empty window and no sample floor, the first scored
+        // batch would average nothing.
+        let mut cfg = SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), apps(2));
+        cfg.requests_per_app = 3;
+        let mut fs = FailSlowConfig::enabled();
+        fs.scorer.window = 0;
+        fs.scorer.min_samples = 0;
+        cfg.failslow = Some(fs);
+        assert!(matches!(
+            try_simulate(&cfg),
+            Err(SimError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            Stepped::new(&cfg),
+            Err(SimError::InvalidConfig(_))
+        ));
     }
 
     #[test]
