@@ -137,6 +137,11 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 /// Runs the bench: a serial timed pass per experiment, then one
 /// parallel pass over the whole list on `threads` workers, compared
 /// byte-for-byte against the serial renders.
+///
+/// Figures are memoized per [`Suite`], so the serial pass times each on
+/// `suite` (pass a fresh one) and the parallel pass builds a suite of
+/// its own: on `suite` it would only copy out the serial results, and
+/// the identity check would compare them with themselves.
 pub fn run(suite: &Suite, ids: &[&'static str], seed: Option<u64>, threads: usize) -> Bench {
     // Serial pass: per-experiment wall clock and event counts.
     let prev = dmx_sim::par::set_threads(1);
@@ -171,9 +176,11 @@ pub fn run(suite: &Suite, ids: &[&'static str], seed: Option<u64>, threads: usiz
     // Parallel pass: the whole experiment list fanned across workers,
     // collected in input order.
     dmx_sim::par::set_threads(threads);
+    let fresh = Suite::new();
     let par_start = Instant::now();
-    let par_reports: Vec<String> =
-        par_map(ids, |_, &id| run_experiment_checked(suite, id, seed).report);
+    let par_reports: Vec<String> = par_map(ids, |_, &id| {
+        run_experiment_checked(&fresh, id, seed).report
+    });
     let parallel_wall_secs = par_start.elapsed().as_secs_f64();
     dmx_sim::par::set_threads(prev);
 

@@ -176,11 +176,11 @@ fn run_unchecked(suite: &Suite, id: &str) -> Outcome {
             rendered(true, || r.render())
         }
         "fig16" => {
-            let r = experiments::fig16::run();
+            let r = experiments::fig16::run(suite);
             rendered(true, || r.render())
         }
         "fig17" => {
-            let r = experiments::fig17::run();
+            let r = experiments::fig17::run(suite);
             rendered(true, || r.render())
         }
         "fig18" => {

@@ -24,8 +24,14 @@ pub struct Fig11 {
     pub rows: Vec<Fig11Row>,
 }
 
-/// Runs the experiment.
+/// Runs the experiment once per suite; later calls return a copy of
+/// the first result.
 pub fn run(suite: &Suite) -> Fig11 {
+    suite.memo.fig11.get_or_init(|| compute(suite)).clone()
+}
+
+/// Runs the experiment.
+fn compute(suite: &Suite) -> Fig11 {
     let rows = APP_COUNTS
         .iter()
         .map(|&n| {

@@ -28,8 +28,14 @@ pub struct Fig13 {
     pub rows: Vec<Fig13Row>,
 }
 
-/// Runs the experiment.
+/// Runs the experiment once per suite; later calls return a copy of
+/// the first result.
 pub fn run(suite: &Suite) -> Fig13 {
+    suite.memo.fig13.get_or_init(|| compute(suite)).clone()
+}
+
+/// Runs the experiment.
+fn compute(suite: &Suite) -> Fig13 {
     let rows = APP_COUNTS
         .iter()
         .map(|&n| {

@@ -23,8 +23,14 @@ pub struct Fig14 {
     pub rows: Vec<Fig14Row>,
 }
 
-/// Runs the experiment.
+/// Runs the experiment once per suite; later calls return a copy of
+/// the first result.
 pub fn run(suite: &Suite) -> Fig14 {
+    suite.memo.fig14.get_or_init(|| compute(suite)).clone()
+}
+
+/// Runs the experiment.
+fn compute(suite: &Suite) -> Fig14 {
     let rows = APP_COUNTS
         .iter()
         .map(|&n| {

@@ -2,7 +2,7 @@
 //! extended with a BERT NER kernel (three kernels, two restructuring
 //! edges).
 
-use super::breakdown_fractions;
+use super::{breakdown_fractions, Suite};
 use crate::apps::BenchmarkId;
 use crate::params::APP_COUNTS;
 use crate::placement::{Mode, Placement};
@@ -29,8 +29,14 @@ pub struct Fig16 {
     pub rows: Vec<Fig16Row>,
 }
 
+/// Runs the experiment once per suite; later calls return a copy of
+/// the first result.
+pub fn run(suite: &Suite) -> Fig16 {
+    suite.memo.fig16.get_or_init(compute).clone()
+}
+
 /// Runs the experiment.
-pub fn run() -> Fig16 {
+fn compute() -> Fig16 {
     let bench = BenchmarkId::PirWithNer.build();
     let rows = APP_COUNTS
         .iter()

@@ -1,6 +1,7 @@
 //! Fig. 17: one-to-many (broadcast) and many-to-one (all-reduce)
 //! speedups on 4–32 accelerators.
 
+use super::Suite;
 use crate::collectives::{all_reduce, broadcast, CollectiveConfig};
 use crate::report::{ratio, Table};
 
@@ -25,8 +26,14 @@ pub struct Fig17 {
     pub rows: Vec<Fig17Row>,
 }
 
+/// Runs the experiment once per suite; later calls return a copy of
+/// the first result.
+pub fn run(suite: &Suite) -> Fig17 {
+    suite.memo.fig17.get_or_init(compute).clone()
+}
+
 /// Runs the experiment.
-pub fn run() -> Fig17 {
+fn compute() -> Fig17 {
     let rows = ACCEL_COUNTS
         .iter()
         .map(|&accels| {

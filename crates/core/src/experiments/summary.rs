@@ -28,34 +28,11 @@ pub struct Summary {
     pub claims: Vec<Claim>,
 }
 
-/// One figure's result, boxed for the parallel fan-out (the figures
-/// return distinct types, so the slot table needs a common carrier).
-/// Fig. 5 is split into one job per characterized op — as a single job
-/// it would dominate the pool's critical path, and its own inner
-/// `par_map` serializes when nested inside this fan-out.
-enum FigOut {
-    F3(fig3::Fig3),
-    F5Op(Box<dmx_cpu::Characterization>),
-    F11(fig11::Fig11),
-    F12(fig12::Fig12),
-    F13(fig13::Fig13),
-    F14(fig14::Fig14),
-    F15(fig15::Fig15),
-    F16(fig16::Fig16),
-    F17(fig17::Fig17),
-    F18(fig18::Fig18),
-}
-
-/// One unit of parallel work: a whole figure sweep or one Fig. 5 op.
-enum Job {
-    Fig(fn(&Suite) -> FigOut),
-    Op(usize),
-}
-
-/// Runs every experiment and assembles the summary. The ten figure
-/// sweeps are independent simulations, so they fan out across the
-/// `dmx_sim::par` worker pool; results are collected in input order
-/// and the claims assembled serially, so the rendered table is
+/// Assembles the summary from the ten figures its claims read. Each
+/// `figN::run` is memoized on `suite`, so after `repro all` has run the
+/// figures this only reads them back; on a fresh suite it computes them
+/// in turn, each figure's own sweep fanning across the `dmx_sim::par`
+/// pool. The claims are assembled serially, so the rendered table is
 /// byte-identical for any `--threads N`.
 pub fn run(suite: &Suite) -> Summary {
     let mut claims = Vec::new();
@@ -69,63 +46,16 @@ pub fn run(suite: &Suite) -> Summary {
         });
     };
 
-    let mut jobs: Vec<Job> = vec![
-        Job::Fig(|s| FigOut::F3(fig3::run(s))),
-        Job::Fig(|s| FigOut::F11(fig11::run(s))),
-        Job::Fig(|s| FigOut::F12(fig12::run(s))),
-        Job::Fig(|s| FigOut::F13(fig13::run(s))),
-        Job::Fig(|s| FigOut::F14(fig14::run(s))),
-        Job::Fig(|s| FigOut::F15(fig15::run(s))),
-        Job::Fig(|_| FigOut::F16(fig16::run())),
-        Job::Fig(|_| FigOut::F17(fig17::run())),
-        Job::Fig(|s| FigOut::F18(fig18::run(s))),
-    ];
-    let figs = jobs.len();
-    jobs.extend((0..suite.benchmarks().len()).map(Job::Op));
-    let mut outs: Vec<Option<FigOut>> = dmx_sim::par_map(&jobs, |_, job| match job {
-        Job::Fig(f) => Some(f(suite)),
-        Job::Op(i) => Some(FigOut::F5Op(Box::new(fig5::characterize_one(
-            &suite.benchmarks()[*i],
-        )))),
-    })
-    .into_iter()
-    .collect();
-    // Reassemble Fig. 5 from its per-op jobs, in benchmark order — the
-    // same order `fig5::run` produces.
-    let f5 = fig5::Fig5 {
-        ops: outs[figs..]
-            .iter_mut()
-            .map(|o| match o.take() {
-                Some(FigOut::F5Op(c)) => *c,
-                _ => unreachable!("op results arrive in input order"),
-            })
-            .collect(),
-    };
-    let mut take = |i: usize| outs[i].take().expect("figure result present");
-    let (f3, f11, f12, f13, f14, f15, f16, f17, f18) = match (
-        take(0),
-        take(1),
-        take(2),
-        take(3),
-        take(4),
-        take(5),
-        take(6),
-        take(7),
-        take(8),
-    ) {
-        (
-            FigOut::F3(a),
-            FigOut::F11(c),
-            FigOut::F12(d),
-            FigOut::F13(e),
-            FigOut::F14(f),
-            FigOut::F15(g),
-            FigOut::F16(h),
-            FigOut::F17(i),
-            FigOut::F18(j),
-        ) => (a, c, d, e, f, g, h, i, j),
-        _ => unreachable!("figure results arrive in input order"),
-    };
+    let f3 = fig3::run(suite);
+    let f5 = fig5::run(suite);
+    let f11 = fig11::run(suite);
+    let f12 = fig12::run(suite);
+    let f13 = fig13::run(suite);
+    let f14 = fig14::run(suite);
+    let f15 = fig15::run(suite);
+    let f16 = fig16::run(suite);
+    let f17 = fig17::run(suite);
+    let f18 = fig18::run(suite);
     push(
         "Fig.3",
         "Multi-Axl restructuring share @1 app",
@@ -158,7 +88,7 @@ pub fn run(suite: &Suite) -> Summary {
         format!("{:.0}-{:.0}%", 100.0 * be_min, 100.0 * be_max),
         be_min > 0.45 && be_max < 0.9,
     );
-    let l1i = f5.ops.iter().map(|c| c.mpki.l1i_mpki).sum::<f64>() / 5.0;
+    let l1i = f5.ops.iter().map(|c| c.mpki.l1i_mpki).sum::<f64>() / f5.ops.len() as f64;
     push(
         "Fig.5",
         "mean L1I MPKI (tiny instruction set)",

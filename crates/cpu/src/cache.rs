@@ -9,13 +9,28 @@
 
 use dmx_restructure::OpProfile;
 
+/// Sentinel for "no line touched yet": a line number is an address
+/// shifted right by the line bits, so it can never be all ones.
+const NO_LINE: u64 = u64::MAX;
+
 /// One set-associative, LRU, write-allocate cache level.
+///
+/// Tags live in one flat array, `ways` slots per set, least recently
+/// used first; `lens[s]` counts the filled slots of set `s`. Two
+/// early-outs skip the search without changing any state, both resting
+/// on one invariant: a touched line becomes the most recently used
+/// (MRU) line of its set, and only a later touch of the same set can
+/// demote it. So touching the line touched last is a hit that leaves
+/// every set as it was, and so is touching a set's MRU tag.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // per set: tags, most recent last
+    tags: Vec<u64>,
+    lens: Vec<u32>,
     ways: usize,
     line_bits: u32,
+    set_bits: u32,
     set_mask: u64,
+    last_line: u64,
     accesses: u64,
     misses: u64,
 }
@@ -35,51 +50,76 @@ impl Cache {
             "set count must be a nonzero power of two"
         );
         Cache {
-            sets: vec![Vec::with_capacity(ways); n_sets],
+            tags: vec![0; n_sets * ways],
+            lens: vec![0; n_sets],
             ways,
             line_bits: 6,
+            set_bits: n_sets.trailing_zeros(),
             set_mask: n_sets as u64 - 1,
+            last_line: NO_LINE,
             accesses: 0,
             misses: 0,
         }
     }
 
+    /// Makes `addr`'s line the MRU line of its set, evicting the LRU
+    /// line of a full set on a miss; returns `true` on hit. Inlined so
+    /// the last-line early-out costs one compare at the call site.
+    #[inline]
+    fn touch(&mut self, addr: u64) -> bool {
+        let line = addr >> self.line_bits;
+        line == self.last_line || self.touch_set(line)
+    }
+
+    /// [`Self::touch`] for a line other than the one touched last.
+    fn touch_set(&mut self, line: u64) -> bool {
+        self.last_line = line;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_bits;
+        let len = self.lens[set] as usize;
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        if len > 0 && ways[len - 1] == tag {
+            return true;
+        }
+        if len < ways.len() {
+            if let Some(pos) = ways[..len].iter().rposition(|&t| t == tag) {
+                ways.copy_within(pos + 1..len, pos);
+                ways[len - 1] = tag;
+                return true;
+            }
+            ways[len] = tag;
+            self.lens[set] += 1;
+            return false;
+        }
+        // A full set: one pass from the MRU end puts `tag` last and
+        // moves each older tag down a slot until it meets `tag` (a hit)
+        // or pushes the LRU tag out of slot 0 (a miss).
+        let mut carry = tag;
+        for slot in ways.iter_mut().rev() {
+            let t = std::mem::replace(slot, carry);
+            if t == tag {
+                return true;
+            }
+            carry = t;
+        }
+        false
+    }
+
     /// Accesses an address; returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        let line = addr >> self.line_bits;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.push(t);
-            true
-        } else {
+        let hit = self.touch(addr);
+        if !hit {
             self.misses += 1;
-            if ways.len() == self.ways {
-                ways.remove(0);
-            }
-            ways.push(tag);
-            false
         }
+        hit
     }
 
     /// Installs a line without counting an access (hardware prefetch).
+    #[inline]
     pub fn install(&mut self, addr: u64) {
-        let line = addr >> self.line_bits;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.push(t);
-            return;
-        }
-        if ways.len() == self.ways {
-            ways.remove(0);
-        }
-        ways.push(tag);
+        self.touch(addr);
     }
 
     /// Total accesses.
@@ -186,12 +226,29 @@ pub fn characterize(profile: &OpProfile, config: &CacheConfig, max_bytes: u64) -
     };
     let extra_passes = (profile.stream_passes - 2.0).max(0.0);
 
+    // Step i's offset into each stream, (i * elem) % span, carried from
+    // step to step: every span is at least one element, so one
+    // conditional subtraction wraps it.
+    let (mut rd_off, mut wr_off, mut sc_off) = (0u64, 0u64, 0u64);
+    let wrap = |off: u64, span: u64| {
+        if off + elem >= span {
+            off + elem - span
+        } else {
+            off + elem
+        }
+    };
+
     let mut rng2 = next;
     for i in 0..steps {
         // Instruction fetches for this chunk's worth of instructions.
         let n_instr = (ipb * elem as f64).ceil() as u64;
         for _ in 0..n_instr {
-            pc = (pc + 8) % loop_body_bytes;
+            // pc stays a multiple of 8 below the loop size, so this is
+            // (pc + 8) % loop_body_bytes without the division.
+            pc += 8;
+            if pc == loop_body_bytes {
+                pc = 0;
+            }
             // ~0.2% of fetches leave the loop (libc, allocator, MKL
             // dispatch) — the source of the residual ~2 L1I MPKI.
             let addr = if rng2() % 512 == 0 {
@@ -211,15 +268,15 @@ pub fn characterize(profile: &OpProfile, config: &CacheConfig, max_bytes: u64) -
                 l2.install(addr + 64);
             }
         };
-        let rd = in_base + (i * elem) % in_span;
+        let rd = in_base + rd_off;
         data(&mut l1d, &mut l2, rd, true);
         // Write-allocate: a store miss also fetches the line.
-        let wr = out_base + (i * elem) % out_span;
+        let wr = out_base + wr_off;
         data(&mut l1d, &mut l2, wr, true);
         if extra_passes > 0.0
             && (i as f64 * extra_passes) as u64 != ((i + 1) as f64 * extra_passes) as u64
         {
-            let sc = scratch_base + (i * elem) % scratch_span;
+            let sc = scratch_base + sc_off;
             data(&mut l1d, &mut l2, sc, true);
         }
         if profile.irregular > 0.0 && rng2() % 1000 < (profile.irregular * 1000.0) as u64 {
@@ -229,6 +286,9 @@ pub fn characterize(profile: &OpProfile, config: &CacheConfig, max_bytes: u64) -
         // A few stack/bookkeeping accesses that always hit.
         let st = stack_base + (rng2() % 512);
         data(&mut l1d, &mut l2, st, false);
+        rd_off = wrap(rd_off, in_span);
+        wr_off = wrap(wr_off, out_span);
+        sc_off = wrap(sc_off, scratch_span);
     }
 
     let ki = (instret as f64 / 1000.0).max(1e-9);
@@ -255,6 +315,94 @@ mod tests {
             branch_per_kb: branchy,
             irregular,
         }
+    }
+
+    /// The per-access reference: one `Vec` of tags per set, most recent
+    /// last, searched and reordered on every touch.
+    struct RefCache {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        set_mask: u64,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl RefCache {
+        fn new(capacity: usize, ways: usize) -> RefCache {
+            let n_sets = capacity / (ways * 64);
+            RefCache {
+                sets: vec![Vec::with_capacity(ways); n_sets],
+                ways,
+                set_mask: n_sets as u64 - 1,
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn touch(&mut self, addr: u64) -> bool {
+            let line = addr >> 6;
+            let set = (line & self.set_mask) as usize;
+            let tag = line >> self.set_mask.count_ones();
+            let ways = &mut self.sets[set];
+            if let Some(pos) = ways.iter().position(|&t| t == tag) {
+                let t = ways.remove(pos);
+                ways.push(t);
+                return true;
+            }
+            if ways.len() == self.ways {
+                ways.remove(0);
+            }
+            ways.push(tag);
+            false
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.accesses += 1;
+            let hit = self.touch(addr);
+            if !hit {
+                self.misses += 1;
+            }
+            hit
+        }
+    }
+
+    #[test]
+    fn fast_cache_matches_reference_lru() {
+        dmx_sim::run_cases("cache::fast_vs_reference", dmx_sim::cases(200), |g| {
+            let ways = 1usize << g.u64_in(0, 5);
+            let n_sets = 1usize << g.u64_in(0, 7);
+            let capacity = n_sets * ways * 64;
+            let mut fast = Cache::new(capacity, ways);
+            let mut reference = RefCache::new(capacity, ways);
+            // A small pool of lines per set, a little over the
+            // associativity, so sets conflict and evict; occasional far
+            // addresses exercise large tags.
+            let tags = ways as u64 + g.u64_in(1, 4);
+            let mut addr = 0u64;
+            for _ in 0..g.usize_in(0, 3000) {
+                if !g.chance(0.3) {
+                    addr = if g.chance(0.05) {
+                        g.u64_in(0, u64::MAX)
+                    } else {
+                        let set = g.u64_in(0, n_sets as u64);
+                        let tag = g.u64_in(0, tags);
+                        ((tag * n_sets as u64 + set) << 6) + g.u64_in(0, 64)
+                    };
+                }
+                if g.chance(0.2) {
+                    fast.install(addr);
+                    reference.touch(addr);
+                } else {
+                    assert_eq!(fast.access(addr), reference.access(addr), "{addr:#x}");
+                }
+            }
+            assert_eq!(fast.accesses(), reference.accesses);
+            assert_eq!(fast.misses(), reference.misses);
+            for (set, want) in reference.sets.iter().enumerate() {
+                let len = fast.lens[set] as usize;
+                assert_eq!(&fast.tags[set * ways..set * ways + len], &want[..]);
+            }
+        });
     }
 
     #[test]

@@ -148,7 +148,7 @@ fn fig13_throughput_gains_exceed_latency_gains_at_scale() {
 
 #[test]
 fn fig16_ner_chain_shape() {
-    let f = experiments::fig16::run();
+    let f = experiments::fig16::run(&suite());
     for row in &f.rows {
         // Paper: 1.9x-4.2x, kernels 93.7-97.2% under DMX.
         assert!(
